@@ -78,7 +78,7 @@ func (s *System) ColDistCtx(ctx context.Context, model, interm, column string, m
 		return nil, err
 	}
 	out := &ColDist{Model: model, Intermediate: interm, Column: column}
-	if sm := s.sampleFor(model, interm); sm != nil {
+	if sm := s.sampleFor(model, interm, column); sm != nil {
 		if j := sm.ColIndex(column); j >= 0 {
 			st := sm.Stats[j]
 			est := sm.MeanEstimate(j)
@@ -226,7 +226,7 @@ func (s *System) ApproxTopKCtx(ctx context.Context, model, interm, column string
 		return nil, fmt.Errorf("mistique: approx topk needs k > 0")
 	}
 	out := &TopKApprox{Model: model, Intermediate: interm, Column: column}
-	if sm := s.sampleFor(model, interm); sm != nil {
+	if sm := s.sampleFor(model, interm, column); sm != nil {
 		if j := sm.ColIndex(column); j >= 0 {
 			entries, bound := sm.TopK(j, k, true)
 			if maxError <= 0 || bound <= maxError {
@@ -299,7 +299,7 @@ func (s *System) ConfusionMatrixCtx(ctx context.Context, model, interm, labelCol
 		return nil, err
 	}
 	out := &ConfusionMatrix{Model: model, Intermediate: interm, LabelCol: labelCol, PredCol: predCol}
-	if sm := s.sampleFor(model, interm); sm != nil {
+	if sm := s.sampleFor(model, interm, labelCol, predCol); sm != nil {
 		lj, pj := sm.ColIndex(labelCol), sm.ColIndex(predCol)
 		if lj >= 0 && pj >= 0 {
 			est, err := sm.Confusion(lj, pj)
@@ -381,7 +381,7 @@ func (s *System) GetIntermediateApproxCtx(ctx context.Context, model, interm str
 		return nil, err
 	}
 	out := &ApproxRows{Model: model, Intermediate: interm}
-	if sm := s.sampleFor(model, interm); sm != nil {
+	if sm := s.sampleFor(model, interm, cols...); sm != nil {
 		if len(cols) == 0 {
 			cols = sm.Cols
 		}
@@ -448,13 +448,14 @@ func sortByRowID(order []int, rowIDs []int64) {
 	sort.Slice(order, func(a, b int) bool { return rowIDs[order[a]] < rowIDs[order[b]] })
 }
 
-// sampleFor returns the freshest sample for (model, interm): the live
-// stream sampler's snapshot for streams, the cached or persisted MQSM
-// snapshot otherwise. nil means no sample exists (callers fall back to
-// the exact path).
-func (s *System) sampleFor(model, interm string) *sample.Sample {
+// sampleFor returns the freshest sample for (model, interm): for streams,
+// the live sampler's snapshot of the queried columns (all when cols is
+// empty); otherwise the cached or persisted MQSM snapshot, which holds
+// every column. nil means no sample exists (callers fall back to the
+// exact path).
+func (s *System) sampleFor(model, interm string, cols ...string) *sample.Sample {
 	if st := s.streamFor(model, interm); st != nil {
-		return st.sampleSnapshot()
+		return st.sampleSnapshot(cols)
 	}
 	key := model + "\x00" + interm
 	s.sampleMu.Lock()

@@ -164,11 +164,11 @@ type QueryResponse struct {
 	Rows            int      `json:"rows"`
 	Data            [][]F32  `json:"data"`
 	Strategy        string   `json:"strategy"`
-	EstReadSecs     float64     `json:"est_read_secs"`
-	EstRerunSecs    float64     `json:"est_rerun_secs"`
-	FetchSeconds    float64     `json:"fetch_seconds"`
-	Recovered       bool        `json:"recovered,omitempty"`
-	MaterializedNow bool        `json:"materialized_now,omitempty"`
+	EstReadSecs     float64  `json:"est_read_secs"`
+	EstRerunSecs    float64  `json:"est_rerun_secs"`
+	FetchSeconds    float64  `json:"fetch_seconds"`
+	Recovered       bool     `json:"recovered,omitempty"`
+	MaterializedNow bool     `json:"materialized_now,omitempty"`
 }
 
 // ColumnResponse is one column of an intermediate

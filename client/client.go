@@ -36,6 +36,14 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
+// IsTooLarge reports whether err is a 413: the request body was over the
+// server's size limit (an ingest batch too big for one request; split it).
+// The client does not retry it.
+func IsTooLarge(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Status == http.StatusRequestEntityTooLarge
+}
+
 // IsOverCapacity reports whether err is a 429 — the server's admission
 // semaphore was full and every retry was exhausted.
 func IsOverCapacity(err error) bool {

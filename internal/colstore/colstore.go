@@ -371,9 +371,12 @@ type Store struct {
 	// the full lock order.
 	flushMu sync.Mutex
 	// mu is the index lock (innermost).
-	mu  sync.Mutex
-	cfg Config
-	dir string
+	mu sync.Mutex
+	// layout counts the Compact passes that renumbered chunks; guarded by
+	// mu. See stableRead.
+	layout uint64
+	cfg    Config
+	dir    string
 	// codec is the resolved Config.Codec, used for every partition write
 	// (reads dispatch on each file's own header).
 	codec codec.Codec
@@ -974,13 +977,38 @@ func (s *Store) GetColumn(key ColumnKey) ([]float32, error) {
 // GetColumnInto is GetColumn appending into dst — the allocation-free form
 // for callers that reuse a decode buffer across chunks.
 func (s *Store) GetColumnInto(dst []float32, key ColumnKey) ([]float32, error) {
-	s.mu.Lock()
-	id, ok := s.columns[key]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("colstore: column %s: %w", key, ErrNotStored)
+	var out []float32
+	err := s.stableRead(func() error {
+		s.mu.Lock()
+		id, ok := s.columns[key]
+		s.mu.Unlock()
+		if !ok {
+			return fmt.Errorf("colstore: column %s: %w", key, ErrNotStored)
+		}
+		var err error
+		out, err = s.readChunkInto(dst, id)
+		return err
+	})
+	return out, err
+}
+
+// stableRead runs read, which resolves chunk ids under mu and decodes
+// them outside it, and runs it again when a Compact renumbered chunks in
+// the meantime: an id resolved before the renumbering may name another
+// chunk, or none, by the time it is decoded.
+func (s *Store) stableRead(read func() error) error {
+	for {
+		s.mu.Lock()
+		layout := s.layout
+		s.mu.Unlock()
+		err := read()
+		s.mu.Lock()
+		moved := s.layout != layout
+		s.mu.Unlock()
+		if !moved {
+			return err
+		}
 	}
-	return s.readChunkInto(dst, id)
 }
 
 // Has reports whether the column chunk is stored.

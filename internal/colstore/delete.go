@@ -430,6 +430,9 @@ func (s *Store) Compact() (droppedChunks int, reclaimed int64, err error) {
 		}
 	}
 	s.stats.StoredBytes -= reclaimed
+	if droppedChunks > 0 {
+		s.layout++ // surviving chunks moved to new indices
+	}
 	workers := s.cfg.Workers
 	s.mu.Unlock()
 

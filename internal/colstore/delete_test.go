@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -240,5 +241,47 @@ func TestPutColumnReplaceGrowsOpenBlock(t *testing.T) {
 	}
 	if len(got) != len(full) {
 		t.Fatalf("post-compact read %d rows, want %d", len(got), len(full))
+	}
+}
+
+// TestReadsResolveAgainAfterCompaction lands a Compact between a read's
+// id resolution and its decode, the window a concurrent reader can hit:
+// the stale id then names another chunk, and stableRead must resolve
+// again and return the right values.
+func TestReadsResolveAgainAfterCompaction(t *testing.T) {
+	s := openTest(t, Config{})
+	dead, live := key("m1", "i", "c", 0), key("m2", "i", "c", 0)
+	s.PutColumn(dead, randCol(64, 1), nil)
+	s.PutColumn(live, randCol(64, 2), nil)
+	want, err := s.GetColumn(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.DeleteModel("m1") // compaction drops dead's chunk and renumbers live's
+
+	attempts := 0
+	var got []float32
+	err = s.stableRead(func() error {
+		attempts++
+		s.mu.Lock()
+		id := s.columns[live]
+		s.mu.Unlock()
+		if attempts == 1 {
+			if dropped, _, err := s.Compact(); err != nil || dropped != 1 {
+				t.Fatalf("compact: dropped %d, %v", dropped, err)
+			}
+		}
+		var err error
+		got, err = s.readChunkInto(nil, id)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Fatalf("read ran %d times, want a second run after the compaction", attempts)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("read returned another chunk's values")
 	}
 }

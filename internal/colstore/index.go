@@ -100,6 +100,14 @@ type ScanMatch struct {
 // matches in row order and the number of chunks skipped (for tests and
 // EXPLAIN-style diagnostics).
 func (s *Store) ScanColumn(model, interm, column string, op Op, bound float32) (matches []ScanMatch, skipped int, err error) {
+	err = s.stableRead(func() (err error) {
+		matches, skipped, err = s.scanColumn(model, interm, column, op, bound)
+		return err
+	})
+	return matches, skipped, err
+}
+
+func (s *Store) scanColumn(model, interm, column string, op Op, bound float32) (matches []ScanMatch, skipped int, err error) {
 	blockRows := s.cfg.RowBlockRows
 	// Resolve the block chain and apply zone pruning under the index lock;
 	// chunk reads and value comparisons run outside it.
@@ -217,6 +225,15 @@ func (s *Store) ColumnSignature(model, interm, column string) (uint32, error) {
 // GetColumnRange reads rows [from, to) of a logical column, touching only
 // the covering RowBlocks (the primary index: blocks are row-aligned).
 func (s *Store) GetColumnRange(model, interm, column string, from, to int) ([]float32, error) {
+	var out []float32
+	err := s.stableRead(func() (err error) {
+		out, err = s.getColumnRange(model, interm, column, from, to)
+		return err
+	})
+	return out, err
+}
+
+func (s *Store) getColumnRange(model, interm, column string, from, to int) ([]float32, error) {
 	if from < 0 || to < from {
 		return nil, fmt.Errorf("colstore: bad row range [%d, %d)", from, to)
 	}

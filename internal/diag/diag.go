@@ -45,6 +45,68 @@ func RankLess(va, vb float32, ra, rb int) bool {
 	return ra < rb
 }
 
+// Best is a bounded selection: it keeps the n best items offered under
+// better (a strict weak order) in a heap whose root is the worst kept
+// item, so an offer that cannot displace it costs one comparison. Top-k
+// answers that see their input in pieces use it instead of sorting all
+// of it.
+type Best[T any] struct {
+	n      int
+	better func(a, b T) bool
+	items  []T
+}
+
+// NewBest returns an empty selection of at most n items.
+func NewBest[T any](n int, better func(a, b T) bool) *Best[T] {
+	n = max(n, 0)
+	return &Best[T]{n: n, better: better, items: make([]T, 0, n)}
+}
+
+// Full reports whether n items are kept, so an offer must beat Worst.
+func (b *Best[T]) Full() bool { return len(b.items) == b.n }
+
+// Worst returns the kept item that ranks last; call it only when at
+// least one item is kept.
+func (b *Best[T]) Worst() T { return b.items[0] }
+
+// Offer keeps x if fewer than n items are kept or x beats the worst.
+func (b *Best[T]) Offer(x T) {
+	h := b.items
+	if len(h) < b.n {
+		h = append(h, x)
+		for i := len(h) - 1; i > 0 && b.better(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+			h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+		}
+		b.items = h
+		return
+	}
+	if b.n == 0 || !b.better(x, h[0]) {
+		return
+	}
+	h[0] = x
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && b.better(h[c], h[c+1]) {
+			c++
+		}
+		if !b.better(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// Sorted returns the kept items, best first. The selection must not be
+// used afterwards.
+func (b *Best[T]) Sorted() []T {
+	sort.Slice(b.items, func(i, j int) bool { return b.better(b.items[i], b.items[j]) })
+	return b.items
+}
+
 // DistLess is the pinned total order for nearest-neighbor ranking:
 // distance ascending, NaN after every number, ties broken by ascending
 // row id. Shared with the engine's index-pruned KNN for exact parity.

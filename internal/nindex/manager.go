@@ -68,6 +68,7 @@ type Manager struct {
 
 	builds      *obs.Counter
 	hits        *obs.Counter
+	moved       *obs.Counter
 	partial     *obs.Counter
 	rebuilds    *obs.Counter
 	evictions   *obs.Counter
@@ -79,12 +80,15 @@ type Manager struct {
 }
 
 // entry is the cache slot of one column. buildMu serializes expensive
-// work (disk load, fetch+build) per key; idx and lastUse are guarded by
-// Manager.mu so probes and eviction never race.
+// work (disk load, fetch+build) per key; idx, lastUse and the previous
+// probe's signature are guarded by Manager.mu so probes and eviction
+// never race.
 type entry struct {
 	buildMu sync.Mutex
 	idx     *Index
 	lastUse uint64
+	probed  bool
+	lastSig uint32
 }
 
 // NewManager creates the index directory and wires the instruments.
@@ -106,6 +110,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		entries:     make(map[Key]*entry),
 		builds:      r.Counter("mistique_index_builds_total", "Neuron index builds from column data."),
 		hits:        r.Counter("mistique_index_hits_total", "Probes answered by a cached or loaded index."),
+		moved:       r.Counter("mistique_index_moved_total", "Probes that found the column moved since its previous probe, so built nothing."),
 		partial:     r.Counter("mistique_index_partial_scans_total", "Probes that decoded only a subset of index segments."),
 		rebuilds:    r.Counter("mistique_index_rebuilds_total", "Indexes rebuilt after a failed probe."),
 		evictions:   r.Counter("mistique_index_evictions_total", "Indexes dropped from memory by the LRU budget."),
@@ -165,17 +170,41 @@ func (m *Manager) Get(key Key, sig uint32, fetch Fetch) (*Index, error) {
 	return idx, nil
 }
 
+// Moved records sig as key's latest probed signature and reports whether
+// it differs from the previous probe's. A caller that builds only for
+// columns that held still asks Moved before Get and answers a moved
+// column from the column itself, so a column that changes between every
+// pair of probes (a live stream cutting blocks) never pays for an index
+// that no second probe would use. A key's first probe is not a move.
+func (m *Manager) Moved(key Key, sig uint32) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.slotLocked(key)
+	moved := e.probed && e.lastSig != sig
+	e.probed, e.lastSig = true, sig
+	if moved {
+		m.moved.Inc()
+	}
+	return moved
+}
+
+// slotLocked get-or-creates key's cache slot. Caller holds m.mu.
+func (m *Manager) slotLocked(key Key) *entry {
+	e, ok := m.entries[key]
+	if !ok {
+		e = &entry{}
+		m.entries[key] = e
+	}
+	return e
+}
+
 // lookup get-or-creates the cache slot and returns the cached index when
 // it matches sig (touching the LRU stamp). A cached index built against a
 // different signature is dropped on the spot.
 func (m *Manager) lookup(key Key, sig uint32) (*entry, *Index) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		e = &entry{}
-		m.entries[key] = e
-	}
+	e := m.slotLocked(key)
 	if e.idx != nil && e.idx.Sig() != sig {
 		m.bytes -= e.idx.Bytes()
 		e.idx = nil

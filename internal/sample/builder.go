@@ -29,8 +29,8 @@ type Builder struct {
 	mu       sync.Mutex
 	s        *Sample
 	rng      splitmix
-	stratIdx int             // index of StratifyColumn in Cols, -1 when off
-	strata   map[uint32]int  // float32 bits of label → index into s.Strata
+	stratIdx int            // index of StratifyColumn in Cols, -1 when off
+	strata   map[uint32]int // float32 bits of label → index into s.Strata
 }
 
 // NewBuilder starts an empty sample over the named columns.
@@ -88,6 +88,23 @@ func (b *Builder) Add(vals []float32) error {
 	if len(vals) != len(s.Cols) {
 		return fmt.Errorf("sample: row has %d values, want %d", len(vals), len(s.Cols))
 	}
+	b.addLocked(vals)
+	return nil
+}
+
+// AddRows offers a batch of rows as one step: a snapshot taken
+// concurrently covers all of the batch or none of it. Unlike Add it
+// trusts its caller: every row must already hold one value per column.
+func (b *Builder) AddRows(rows [][]float32) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, vals := range rows {
+		b.addLocked(vals)
+	}
+}
+
+func (b *Builder) addLocked(vals []float32) {
+	s := b.s
 	row := s.Seen
 	c := len(s.Cols)
 
@@ -109,7 +126,6 @@ func (b *Builder) Add(vals []float32) error {
 	}
 	s.Seen++
 	s.RNGState = b.rng.s
-	return nil
 }
 
 func (b *Builder) addStratum(row int64, vals []float32) {
@@ -152,6 +168,71 @@ func (b *Builder) Snapshot() *Sample {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.s.clone()
+}
+
+// SnapshotCols is Snapshot restricted to the named columns, in the order
+// given; names the sample does not have are left out. It copies only
+// those columns' values, so a probe of one column of a wide sample does
+// not pay for the others.
+func (b *Builder) SnapshotCols(names []string) *Sample {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := b.s
+	idx := make([]int, 0, len(names))
+	cols := make([]string, 0, len(names))
+	for _, n := range names {
+		if j := s.ColIndex(n); j >= 0 {
+			idx = append(idx, j)
+			cols = append(cols, n)
+		}
+	}
+	cp := &Sample{
+		Cols:           cols,
+		Seen:           s.Seen,
+		Cap:            s.Cap,
+		Seed:           s.Seed,
+		RNGState:       s.RNGState,
+		Stats:          make([]ColStats, len(idx)),
+		RowIDs:         append([]int64(nil), s.RowIDs...),
+		Data:           project(s.Data, len(s.Cols), idx),
+		StratifyCol:    s.StratifyCol,
+		StratumCap:     s.StratumCap,
+		MaxStrata:      s.MaxStrata,
+		StrataOverflow: s.StrataOverflow,
+	}
+	for i, j := range idx {
+		cp.Stats[i] = s.Stats[j]
+	}
+	if s.Strata == nil {
+		return cp
+	}
+	cp.Strata = make([]Stratum, len(s.Strata))
+	for i, str := range s.Strata {
+		cp.Strata[i] = Stratum{
+			Key:    str.Key,
+			Count:  str.Count,
+			RowIDs: append([]int64(nil), str.RowIDs...),
+			Data:   project(str.Data, len(s.Cols), idx),
+		}
+	}
+	return cp
+}
+
+// project copies columns idx out of row-major data that is width values
+// wide, in one strided pass over the rows.
+func project(data []float32, width int, idx []int) []float32 {
+	if width == 0 {
+		return nil
+	}
+	rows := len(data) / width
+	out := make([]float32, 0, rows*len(idx))
+	for r := 0; r < rows; r++ {
+		row := data[r*width : (r+1)*width]
+		for _, j := range idx {
+			out = append(out, row[j])
+		}
+	}
+	return out
 }
 
 func (s *Sample) clone() *Sample {

@@ -29,8 +29,11 @@ package sample
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
+
+	"mistique/internal/diag"
 )
 
 // DefaultCap is the default reservoir size in rows. At this size a mean
@@ -142,16 +145,19 @@ type Sample struct {
 	StrataOverflow bool
 	Strata         []Stratum
 
-	// Rank memoization: snapshots are logically immutable, so the first
-	// quantile/top-k probe per column pays one sort and every later call
-	// reuses it — the difference between interactive (~µs) and a fresh
-	// O(k log k) per query. Guarded by rankMu; clone() and the codec start
-	// fresh. (The mutex also makes Sample non-copyable under vet, which is
-	// what keeps the memo coherent.)
-	rankMu   sync.Mutex
-	rankVals [][]float32 // per column: finite sampled values, ascending
-	rankIdx  [][]int32   // per column: matching sample-row order
-	rankMom  []moments   // per column: memoized colMoments
+	// Rank memoization: snapshots are logically immutable. A column's
+	// first quantile/top-k probe answers by selection in O(k); the second
+	// pays one sort, and every later call reuses it — the difference
+	// between interactive (~µs) and a fresh O(k log k) per query. A live
+	// stream's snapshot usually sees one probe per column before the next
+	// batch replaces it, so it never sorts. Guarded by rankMu; clone() and
+	// the codec start fresh. (The mutex also makes Sample non-copyable
+	// under vet, which is what keeps the memo coherent.)
+	rankMu    sync.Mutex
+	rankVals  [][]float32 // per column: finite sampled values, ascending
+	rankIdx   [][]int32   // per column: matching sample-row order
+	rankAsked []bool      // per column: a rank probe already ran
+	rankMom   []moments   // per column: memoized colMoments
 }
 
 // moments is one memoized colMoments result.
@@ -286,39 +292,57 @@ func (s *Sample) colMoments(col int) (mean, std float64, k int64) {
 	return mean, std, k
 }
 
-// rank returns the column's finite sampled values in ascending order
+// memoRank returns the column's finite sampled values in ascending order
 // (ties by ascending row id) plus the matching sample-row order, built
-// once per column and memoized.
-func (s *Sample) rank(col int) (vals []float32, idx []int32) {
+// once per column and memoized. The first probe of a column gets ok =
+// false and answers by selection instead; the second builds the order.
+func (s *Sample) memoRank(col int) (vals []float32, idx []int32, ok bool) {
 	s.rankMu.Lock()
 	defer s.rankMu.Unlock()
 	if s.rankVals == nil {
 		s.rankVals = make([][]float32, len(s.Cols))
 		s.rankIdx = make([][]int32, len(s.Cols))
+		s.rankAsked = make([]bool, len(s.Cols))
 	}
 	if s.rankVals[col] == nil {
-		c := len(s.Cols)
-		idx := make([]int32, 0, len(s.RowIDs))
-		for r := 0; r < len(s.RowIDs); r++ {
-			v := s.Data[r*c+col]
-			if v == v && !math.IsInf(float64(v), 0) {
-				idx = append(idx, int32(r))
-			}
+		if !s.rankAsked[col] {
+			s.rankAsked[col] = true
+			return nil, nil, false
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			va, vb := s.Data[int(idx[a])*c+col], s.Data[int(idx[b])*c+col]
-			if va != vb {
-				return va < vb
-			}
-			return s.RowIDs[idx[a]] < s.RowIDs[idx[b]]
-		})
+		idx := s.finiteRows(col)
+		sort.Slice(idx, func(a, b int) bool { return s.rankBefore(col, idx[a], idx[b]) })
+		c := len(s.Cols)
 		vals := make([]float32, len(idx))
 		for i, r := range idx {
 			vals[i] = s.Data[int(r)*c+col]
 		}
 		s.rankVals[col], s.rankIdx[col] = vals, idx
 	}
-	return s.rankVals[col], s.rankIdx[col]
+	return s.rankVals[col], s.rankIdx[col], true
+}
+
+// finiteRows returns the sample rows whose value in col is finite.
+func (s *Sample) finiteRows(col int) []int32 {
+	c := len(s.Cols)
+	idx := make([]int32, 0, len(s.RowIDs))
+	for r := 0; r < len(s.RowIDs); r++ {
+		v := s.Data[r*c+col]
+		if v == v && !math.IsInf(float64(v), 0) {
+			idx = append(idx, int32(r))
+		}
+	}
+	return idx
+}
+
+// rankBefore is the rank order of sample rows a and b in col: value
+// ascending, ties by ascending row id.
+func (s *Sample) rankBefore(col int, a, b int32) bool {
+	c := len(s.Cols)
+	va, vb := s.Data[int(a)*c+col], s.Data[int(b)*c+col]
+	if va != vb {
+		return va < vb
+	}
+	return s.RowIDs[a] < s.RowIDs[b]
 }
 
 // Moments returns the sample mean and standard deviation over the finite
@@ -374,7 +398,10 @@ type RowValue struct {
 // sample rank fraction. Returns fewer than k entries when the sample has
 // fewer finite values.
 func (s *Sample) TopK(col, k int, largest bool) ([]RowValue, float64) {
-	vals, idx := s.rank(col)
+	vals, idx, ok := s.memoRank(col)
+	if !ok {
+		return s.topKSelect(col, k, largest)
+	}
 	kFin := int64(len(vals))
 	n := k
 	if n > len(vals) {
@@ -400,32 +427,123 @@ func (s *Sample) TopK(col, k int, largest bool) ([]RowValue, float64) {
 			out = append(out, RowValue{Row: s.RowIDs[idx[t]], Value: vals[t]})
 		}
 	}
-	bound := RankBound(kFin, s.Stats[col].Finite)
+	return out, s.rankBound(col, kFin)
+}
+
+// rankBound is the rank bound of an answer drawn from kFin finite
+// sampled values of col.
+func (s *Sample) rankBound(col int, kFin int64) float64 {
 	if s.Complete() {
-		bound = 0
+		return 0
 	}
-	return out, bound
+	return RankBound(kFin, s.Stats[col].Finite)
+}
+
+// topKSelect is TopK by bounded selection, without the memoized order:
+// one pass offers every finite row to a diag.Best of size k.
+func (s *Sample) topKSelect(col, k int, largest bool) ([]RowValue, float64) {
+	better := func(a, b int32) bool { return s.rankBefore(col, a, b) }
+	if largest {
+		better = func(a, b int32) bool {
+			va, vb := s.Value(int(a), col), s.Value(int(b), col)
+			if va != vb {
+				return va > vb
+			}
+			return s.RowIDs[a] < s.RowIDs[b]
+		}
+	}
+	best := diag.NewBest(min(k, len(s.RowIDs)), better)
+	kFin := int64(0)
+	for r := range s.RowIDs {
+		v := s.Value(r, col)
+		if v != v || math.IsInf(float64(v), 0) {
+			continue
+		}
+		kFin++
+		if best.Full() && k > 0 {
+			// Most rows lose to the worst kept one on value alone.
+			if w := s.Value(int(best.Worst()), col); (largest && v < w) || (!largest && v > w) {
+				continue
+			}
+		}
+		best.Offer(int32(r))
+	}
+	h := best.Sorted()
+	out := make([]RowValue, len(h))
+	for i, r := range h {
+		out[i] = RowValue{Row: s.RowIDs[r], Value: s.Value(int(r), col)}
+	}
+	return out, s.rankBound(col, kFin)
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a column's finite
 // values, plus the rank bound on the estimate's true rank fraction.
 func (s *Sample) Quantile(col int, q float64) (float32, float64) {
-	vals, _ := s.rank(col)
-	if len(vals) == 0 {
+	vals, _, ok := s.memoRank(col)
+	n := len(vals)
+	var fin []int32
+	if !ok {
+		fin = s.finiteRows(col)
+		n = len(fin)
+	}
+	if n == 0 {
 		return float32(math.NaN()), 1
 	}
-	idx := int(q * float64(len(vals)-1))
-	if idx < 0 {
-		idx = 0
+	idx := min(max(int(q*float64(n-1)), 0), n-1)
+	bound := s.rankBound(col, int64(n))
+	if ok {
+		return vals[idx], bound
 	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
+	selectNth(fin, idx, func(a, b int32) bool { return s.rankBefore(col, a, b) })
+	return s.Value(int(fin[idx]), col), bound
+}
+
+// selectNth reorders idx so that idx[n] holds the element an ascending
+// sort under less (a strict weak order) would put there: quickselect with
+// a median-of-three pivot. A range that keeps shrinking slowly is sorted
+// outright, so the worst case stays O(len log len).
+func selectNth(idx []int32, n int, less func(a, b int32) bool) {
+	lo, hi := 0, len(idx)-1
+	for budget := 3 * bits.Len(uint(len(idx))); lo < hi; budget-- {
+		if budget == 0 {
+			part := idx[lo : hi+1]
+			sort.Slice(part, func(a, b int) bool { return less(part[a], part[b]) })
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if less(idx[mid], idx[lo]) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if less(idx[hi], idx[lo]) {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if less(idx[hi], idx[mid]) {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+		}
+		pivot := idx[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(idx[i], pivot) {
+				i++
+			}
+			for less(pivot, idx[j]) {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	bound := RankBound(int64(len(vals)), s.Stats[col].Finite)
-	if s.Complete() {
-		bound = 0
-	}
-	return vals[idx], bound
 }
 
 // Cell is one confusion-matrix cell estimate, in row units.

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -17,15 +17,21 @@ import (
 
 // maxBodyBytes bounds request bodies; query descriptions are tiny, so a
 // megabyte of headroom is generous and keeps a hostile body from growing
-// the heap.
+// the heap. An ingest batch must fit too: split larger batches.
 const maxBodyBytes = 1 << 20
 
 // decodeBody strictly decodes the JSON request body into dst: unknown
-// fields, trailing garbage and oversized bodies are all 400s.
+// fields and trailing garbage are 400s, a body over maxBodyBytes (the
+// cap admitted puts on it) is a 413.
 func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &apiError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body over the %d-byte limit", tooLarge.Limit)}
+		}
 		return badRequest("bad request body: %v", err)
 	}
 	if dec.More() {

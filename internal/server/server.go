@@ -132,8 +132,8 @@ func New(sys *mistique.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := sys.Obs()
 	s := &Server{
-		sys: sys,
-		cfg: cfg,
+		sys:     sys,
+		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		tenants: make(map[string]*tenantState),
@@ -224,8 +224,8 @@ func (s *Server) plain(method string, fn handlerFunc) http.HandlerFunc {
 }
 
 // admitted wraps a query-class endpoint: method check, panic recovery,
-// admission semaphore (non-blocking — full means 429 + Retry-After), and
-// the per-request deadline.
+// admission semaphore (non-blocking — full means 429 + Retry-After), the
+// per-request deadline and the maxBodyBytes cap on the request body.
 func (s *Server) admitted(method string, fn handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
@@ -259,7 +259,9 @@ func (s *Server) admitted(method string, fn handlerFunc) http.HandlerFunc {
 		if s.cfg.queryGate != nil {
 			s.cfg.queryGate()
 		}
-		payload, err := fn(r.WithContext(ctx))
+		r = r.WithContext(ctx)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		payload, err := fn(r)
 		s.respond(w, payload, err)
 	}
 }

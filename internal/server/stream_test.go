@@ -3,9 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,4 +269,70 @@ func TestTenantInFlightQuota(t *testing.T) {
 		rel3()
 	}
 	rel2()
+}
+
+// TestIngestOversizedBatchIs413 sends a 1024-row × 64-column batch, whose
+// JSON body is over the 1 MiB cap: the server answers 413 naming the
+// limit, the client surfaces it as a typed error without retrying, and
+// no row reaches the stream. A batch under the cap still ingests.
+func TestIngestOversizedBatchIs413(t *testing.T) {
+	sys, srv, _ := newStreamService(t, Config{})
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := client.New(ts.URL, client.WithMaxRetries(3), client.WithTimeout(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]string, 64)
+	for j := range cols {
+		cols[j] = fmt.Sprintf("u%d", j)
+	}
+	batch := func(n int) [][]float32 {
+		rows := make([][]float32, n)
+		for i := range rows {
+			rows[i] = make([]float32, len(cols))
+			for j := range rows[i] {
+				rows[i][j] = -1 / float32(i+j+3)
+			}
+		}
+		return rows
+	}
+	big := batch(1024)
+	wire := make([][]client.F32, len(big))
+	for i, r := range big {
+		wire[i] = wireRow(r)
+	}
+	body, err := json.Marshal(client.IngestRequest{Columns: cols, Rows: wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= maxBodyBytes {
+		t.Fatalf("test batch is %d bytes, not over the %d-byte cap", len(body), maxBodyBytes)
+	}
+
+	_, err = c.IngestRows(context.Background(), "live", "acts", cols, big)
+	if !client.IsTooLarge(err) {
+		t.Fatalf("oversized batch: err = %v, want a 413", err)
+	}
+	if !strings.Contains(err.Error(), strconv.Itoa(maxBodyBytes)) {
+		t.Fatalf("413 message does not name the limit: %v", err)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Fatalf("client sent the oversized batch %d times, want 1 (no retry)", n)
+	}
+	if _, ok := sys.Metadata().IntermSnapshot("live", "acts"); ok {
+		t.Fatal("a rejected batch created the stream")
+	}
+
+	res, err := c.IngestRows(context.Background(), "live", "acts", cols, batch(256))
+	if err != nil {
+		t.Fatalf("batch under the cap: %v", err)
+	}
+	if res.Rows != 256 {
+		t.Fatalf("acknowledged %d rows, want 256", res.Rows)
+	}
 }

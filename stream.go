@@ -179,10 +179,12 @@ type streamState struct {
 	blockStart int64
 	pend       [][]float32
 
-	// snap caches the last sampler snapshot for lock-free approximate
-	// queries; refreshed whenever the row count moved.
-	snap     *sample.Sample
-	snapSeen int64
+	// snaps caches, per queried column set, the newest sampler snapshot
+	// restricted to those columns. It is guarded by snapMu, never by mu,
+	// so approximate reads wait neither on a batch's WAL fsync nor on
+	// Flush.
+	snapMu sync.Mutex
+	snaps  map[string]*sample.Sample
 }
 
 // IngestResult acknowledges one streaming batch.
@@ -246,9 +248,11 @@ func (s *System) IngestRows(model, interm string, cols []string, rows [][]float3
 	s.metrics.streamBatches.Inc()
 	s.metrics.streamRows.Add(int64(len(rows)))
 	s.metrics.walAppendBytes.Add(int64(len(rec)) + 8)
-	// Acknowledged: feed the sampler and the open block.
+	// Acknowledged: feed the sampler (the whole batch at once, so a
+	// concurrent snapshot never covers part of it; widths were checked
+	// above) and the open block.
+	st.sampler.AddRows(rows)
 	for _, r := range rows {
-		st.sampler.Add(r)
 		for j, v := range r {
 			st.pend[j] = append(st.pend[j], v)
 		}
@@ -446,11 +450,9 @@ func (st *streamState) putOpenBlockLocked(s *System, n int) error {
 // catalog are durable; a crash before the rewrite replays the records
 // idempotently. Caller holds st.mu.
 func (st *streamState) checkpointLocked(s *System) error {
-	snap := st.sampler.Snapshot()
-	if err := s.samples.Save(st.model, st.interm, snap); err != nil {
+	if err := s.samples.Save(st.model, st.interm, st.sampler.Snapshot()); err != nil {
 		return err
 	}
-	st.snap, st.snapSeen = snap, st.rows
 	if err := st.log.Rewrite([][]byte{st.headerRec}); err != nil {
 		return fmt.Errorf("mistique: stream wal checkpoint %s.%s: %w", st.model, st.interm, err)
 	}
@@ -458,17 +460,34 @@ func (st *streamState) checkpointLocked(s *System) error {
 	return nil
 }
 
-// sampleSnapshot returns a point-in-time sample of the stream, covering
-// every acknowledged row. Consecutive calls between batches share one
-// snapshot.
-func (st *streamState) sampleSnapshot() *sample.Sample {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.snap == nil || st.snapSeen != st.rows {
-		st.snap = st.sampler.Snapshot()
-		st.snapSeen = st.rows
+// sampleSnapshot returns a point-in-time sample of the stream restricted
+// to cols (every column when cols is empty), covering every acknowledged
+// row. Reads between batches share one snapshot per column set; the
+// first read after a batch copies only its own columns.
+func (st *streamState) sampleSnapshot(cols []string) *sample.Sample {
+	if len(cols) == 0 {
+		cols = st.cols
 	}
-	return st.snap
+	key := strings.Join(cols, "\x00")
+	seen := st.sampler.Seen()
+	st.snapMu.Lock()
+	defer st.snapMu.Unlock()
+	if sm := st.snaps[key]; sm != nil && sm.Seen == seen {
+		return sm
+	}
+	sm := st.sampler.SnapshotCols(cols)
+	// Snapshots of older rows are never served again: drop them so the
+	// cache holds one generation.
+	for k, old := range st.snaps {
+		if old.Seen != sm.Seen {
+			delete(st.snaps, k)
+		}
+	}
+	if st.snaps == nil {
+		st.snaps = make(map[string]*sample.Sample)
+	}
+	st.snaps[key] = sm
+	return sm
 }
 
 // streamFor returns the live stream state, or nil.

@@ -266,11 +266,22 @@ func TestStreamConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	var writersLive atomic.Int64
 	writersLive.Store(nStreams)
+	// Readers start once every writer's first batch is acknowledged, so
+	// every stream they query exists. A writer that fails
+	// before its first ack releases them too.
+	var firstAcks sync.WaitGroup
+	firstAcks.Add(nStreams)
 	for w := 0; w < nStreams; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			defer writersLive.Add(-1)
+			acked := false
+			defer func() {
+				if !acked {
+					firstAcks.Done()
+				}
+			}()
 			interm := fmt.Sprintf("s%d", w)
 			for off := int64(0); off < rowsPer; {
 				b := int64(batch)
@@ -286,6 +297,10 @@ func TestStreamConcurrentStress(t *testing.T) {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
+				if !acked {
+					acked = true
+					firstAcks.Done()
+				}
 				off += b
 			}
 		}(w)
@@ -297,6 +312,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			firstAcks.Wait()
 			for i := 0; writersLive.Load() > 0; i++ {
 				interm := fmt.Sprintf("s%d", (r+i)%nStreams)
 				d, err := s.ColDist("live", interm, "v", 0)
@@ -326,6 +342,7 @@ func TestStreamConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			firstAcks.Wait()
 			for i := 0; writersLive.Load() > 0; i++ {
 				interm := fmt.Sprintf("s%d", (r+2*i)%nStreams)
 				res, err := s.GetIntermediate("live", interm, []string{"v"}, 0)

@@ -28,8 +28,9 @@ var ErrUnknownColumn = errors.New("unknown column")
 // IndexConfig controls the neuron-centric diagnostic indexes. Zero values
 // select defaults; the indexes are on unless Disable is set.
 type IndexConfig struct {
-	// Disable turns the index layer off entirely: TOPK, FilterRows and
-	// KNN answer by full scans (the differential baseline).
+	// Disable turns the index layer off entirely: TOPK answers by the
+	// zone-pruned ranker, FilterRows by zone-map scans and KNN by a full
+	// scan.
 	Disable bool
 	// MemBudgetBytes caps resident index bytes before LRU eviction
 	// (default 64 MiB). Evicted indexes reload from disk on next probe.
@@ -64,41 +65,33 @@ func (s *System) TopK(model, interm, column string, k int) ([]TopKEntry, error) 
 	return s.TopKCtx(context.Background(), model, interm, column, k)
 }
 
-// TopKCtx is TopK under a context, honored at entry and inside the
-// column fetch that backs an index build or scan fallback.
+// TopKCtx is TopK under a context, honored at entry, inside the column
+// fetch that backs an index build and between the ranker's block reads.
+// A column whose physical signature moved since its previous probe (a
+// live stream that cut a block in between) gets no index build: the
+// zone-pruned ranker answers it instead, with the same result.
 func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k int) ([]TopKEntry, error) {
 	it, err := s.columnQueryTarget(ctx, model, interm, column)
 	if err != nil {
 		return nil, err
 	}
 	defer s.metrics.queryTopKSeconds.Time()()
-	fetch := s.columnFetcher(ctx, model, interm, column, it.Rows)
 	if s.nidx != nil {
-		if sig, serr := s.store.ColumnSignature(model, interm, column); serr == nil {
-			entries, terr := s.nidx.TopK(indexKey(model, interm, column), sig, k, fetch)
+		key := indexKey(model, interm, column)
+		if sig, serr := s.store.ColumnSignature(model, interm, column); serr == nil && !s.nidx.Moved(key, sig) {
+			fetch := s.columnFetcher(ctx, model, interm, column, it.Rows)
+			entries, terr := s.nidx.TopK(key, sig, k, fetch)
 			if terr == nil {
-				out := make([]TopKEntry, len(entries))
-				for i, e := range entries {
-					out[i] = TopKEntry{Row: e.Row, Value: e.Value}
-				}
-				return out, nil
+				return topKEntries(entries), nil
 			}
 			if errors.Is(terr, context.Canceled) || errors.Is(terr, context.DeadlineExceeded) {
 				return nil, terr
 			}
 		}
 	}
-	// Full-scan twin: fetch the column and rank with the same comparator.
-	col, _, err := fetch()
-	if err != nil {
-		return nil, err
-	}
-	ranked := diag.TopK(col, k)
-	out := make([]TopKEntry, len(ranked))
-	for i, r := range ranked {
-		out[i] = TopKEntry{Row: r, Value: col[r]}
-	}
-	return out, nil
+	// No index answer (indexes disabled, no signature, a failed probe, or
+	// a column that moved since its previous probe): rank from the zones.
+	return s.topKByZones(ctx, model, interm, column, k, 0, it.Rows)
 }
 
 // TopKRangeCtx ranks only global rows [from, to) of a column, in the same
@@ -108,7 +101,8 @@ func (s *System) TopKCtx(ctx context.Context, model, interm, column string, k in
 // every path uses the one comparator, merging per-block candidate lists
 // with RankLess again reproduces the single-node answer bit for bit.
 // from <= 0 means row 0; to <= 0 or past the end means the row count. The
-// full range delegates to TopKCtx, which is index-accelerated.
+// full range delegates to TopKCtx, which is index-accelerated; a partial
+// range is answered by the zone-pruned ranker.
 func (s *System) TopKRangeCtx(ctx context.Context, model, interm, column string, k, from, to int) ([]TopKEntry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -133,22 +127,44 @@ func (s *System) TopKRangeCtx(ctx context.Context, model, interm, column string,
 		return nil, err
 	}
 	defer s.metrics.queryTopKSeconds.Time()()
-	m, err := s.readRowRange(ctx, model, interm, []string{column}, from, to)
+	return s.topKByZones(ctx, model, interm, column, k, from, to)
+}
+
+// topKByZones ranks rows [from, to) of a column with nindex.TopKZones,
+// reading RowBlocks in descending zone-max order until no unread block
+// can place a row in the top k.
+func (s *System) topKByZones(ctx context.Context, model, interm, column string, k, from, to int) ([]TopKEntry, error) {
+	// A column whose zones cannot be listed gets none: every block then
+	// counts as unprunable, and the reads below heal or report the loss.
+	zs, _ := s.store.ColumnZones(model, interm, column)
+	entries, err := nindex.TopKZones(nindexZones(zs), s.cfg.RowBlockRows, from, to, k, func(lo, hi int) ([]float32, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return s.readColumnRange(ctx, model, interm, column, lo, hi)
+	})
 	if err != nil {
 		return nil, err
 	}
-	col := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		col[i] = m.Row(i)[0]
+	return topKEntries(entries), nil
+}
+
+func topKEntries(entries []nindex.Entry) []TopKEntry {
+	out := make([]TopKEntry, len(entries))
+	for i, e := range entries {
+		out[i] = TopKEntry{Row: e.Row, Value: e.Value}
 	}
-	// diag.TopK breaks ties by ascending local offset; adding the constant
-	// `from` preserves that order in global row ids.
-	ranked := diag.TopK(col, k)
-	out := make([]TopKEntry, len(ranked))
-	for i, r := range ranked {
-		out[i] = TopKEntry{Row: from + r, Value: col[r]}
+	return out
+}
+
+// nindexZones converts the store's per-block zone summaries to the index
+// package's form.
+func nindexZones(zs []colstore.ZoneInfo) []nindex.Zone {
+	out := make([]nindex.Zone, len(zs))
+	for i, z := range zs {
+		out[i] = nindex.Zone{Min: z.Min, Max: z.Max, Count: z.Count}
 	}
-	return out, nil
+	return out
 }
 
 // KNN returns the k rows of a materialized intermediate nearest to row
@@ -227,11 +243,7 @@ func (s *System) knnPruned(ctx context.Context, model, interm string, cols []str
 		if err != nil {
 			return nil, err
 		}
-		nz := make([]nindex.Zone, len(zs))
-		for i, z := range zs {
-			nz[i] = nindex.Zone{Min: z.Min, Max: z.Max, Count: z.Count}
-		}
-		colZones[j] = nz
+		colZones[j] = nindexZones(zs)
 	}
 	plan := nindex.PlanKNN(query, colZones)
 	blockRows := s.cfg.RowBlockRows
@@ -310,20 +322,10 @@ func indexKey(model, interm, column string) nindex.Key {
 	return nindex.Key{Model: model, Intermediate: interm, Column: column}
 }
 
-// columnFetcher loads a full column for an index build or scan fallback,
-// healing lost chunks by re-materializing from a model re-run (once).
+// columnFetcher loads a full column for an index build or scan fallback.
 func (s *System) columnFetcher(ctx context.Context, model, interm, column string, rows int) nindex.Fetch {
 	return func() ([]float32, int, error) {
-		vals, err := s.store.GetColumnRange(model, interm, column, 0, rows)
-		if err != nil && recoverableReadErr(err) {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, 0, cerr
-			}
-			if herr := s.healIntermediate(model, interm); herr != nil {
-				return nil, 0, herr
-			}
-			vals, err = s.store.GetColumnRange(model, interm, column, 0, rows)
-		}
+		vals, err := s.readColumnRange(ctx, model, interm, column, 0, rows)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -331,10 +333,27 @@ func (s *System) columnFetcher(ctx context.Context, model, interm, column string
 	}
 }
 
+// readColumnRange reads rows [from, to) of one column, healing lost
+// chunks by re-materializing from a model re-run (once).
+func (s *System) readColumnRange(ctx context.Context, model, interm, column string, from, to int) ([]float32, error) {
+	vals, err := s.store.GetColumnRange(model, interm, column, from, to)
+	if err != nil && recoverableReadErr(err) {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		if herr := s.healIntermediate(model, interm); herr != nil {
+			return nil, herr
+		}
+		vals, err = s.store.GetColumnRange(model, interm, column, from, to)
+	}
+	return vals, err
+}
+
 // filterViaIndex answers a FilterRows predicate from the column's index.
 // ok=false sends the caller to the zone-map scan path (index disabled,
-// signature unavailable, or probe failed) — falling back is always safe
-// because both paths rank identically.
+// signature unavailable, column moved since its previous probe, or probe
+// failed) — falling back is always safe because both paths rank
+// identically.
 func (s *System) filterViaIndex(ctx context.Context, model, interm, column string, op colstore.Op, bound float32, rows int) ([]int, bool, error) {
 	if s.nidx == nil {
 		return nil, false, nil
@@ -343,11 +362,12 @@ func (s *System) filterViaIndex(ctx context.Context, model, interm, column strin
 	if !ok {
 		return nil, false, nil
 	}
+	key := indexKey(model, interm, column)
 	sig, err := s.store.ColumnSignature(model, interm, column)
-	if err != nil {
+	if err != nil || s.nidx.Moved(key, sig) {
 		return nil, false, nil
 	}
-	out, err := s.nidx.FilterRows(indexKey(model, interm, column), sig, nop, bound,
+	out, err := s.nidx.FilterRows(key, sig, nop, bound,
 		s.columnFetcher(ctx, model, interm, column, rows))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
