@@ -105,3 +105,35 @@ func FuzzLZDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHuffDecodeParity holds the table-pair decoder to the byte-at-a-time
+// decoder it replaced (huffDecompressRef): on any input and any output
+// bound both must accept or both reject, and accepted output — appended
+// after an existing prefix — must be byte-identical.
+func FuzzHuffDecodeParity(f *testing.F) {
+	for _, src := range [][]byte{
+		bytes.Repeat([]byte("aaab"), 4096),
+		bytes.Repeat([]byte{7}, 1000),
+		bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 50),
+	} {
+		valid, ok := huffCompress(nil, src)
+		if !ok {
+			f.Fatal("seed compress bailed")
+		}
+		f.Add(valid, uint32(len(src)))
+		f.Add(valid[:len(valid)/2], uint32(actzMaxBlock))
+	}
+	f.Add([]byte{0x80}, uint32(actzMaxBlock))
+	f.Fuzz(func(t *testing.T, data []byte, maxOut uint32) {
+		limit := int(maxOut % (actzMaxBlock + 1))
+		prefix := []byte("prefix")
+		want, werr := huffDecompressRef(append([]byte(nil), prefix...), data, limit)
+		got, gerr := huffDecompress(append([]byte(nil), prefix...), data, limit)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("accept differs: reference err=%v, decoder err=%v", werr, gerr)
+		}
+		if werr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("decoded bytes differ: reference %d bytes, decoder %d", len(want), len(got))
+		}
+	})
+}

@@ -3,15 +3,16 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Order-0 canonical Huffman coder in the huff0 spirit: code lengths are
-// capped at 12 bits so decode is a single 4096-entry table lookup per
-// symbol, the table is shipped as 128 bytes of packed nibbles, and the
-// bitstream is written LSB-first so encode and decode are shift/or loops
-// with no per-bit branches.
+// capped at 12 bits so one 4096-entry table lookup decodes one or two
+// symbols (see huffDecompress), the table is shipped as 128 bytes of
+// packed nibbles, and the bitstream is written LSB-first so encode and
+// decode are shift/or loops with no per-bit branches.
 //
 // Stream layout:
 //
@@ -32,6 +33,7 @@ type huffScratch struct {
 	lens [256]uint8
 	code [256]uint16 // bit-reversed canonical code
 	lut  [1 << huffMaxBits]uint16
+	pair [1 << huffMaxBits]uint32
 }
 
 var huffScratchPool = sync.Pool{New: func() any { return new(huffScratch) }}
@@ -214,6 +216,17 @@ func reverseBits(v uint16, n uint8) uint16 {
 
 // huffDecompress appends the decoded symbols to dst. maxOut bounds the
 // decoded length so corrupt headers cannot force huge allocations.
+//
+// Decode is table driven. lut maps every 12-bit window to its first
+// symbol and that symbol's code length; pair maps it to two symbols when
+// the second code also ends inside the window, else to the first alone.
+// For streams of at least huffPairMinSyms symbols the hot loop loads one
+// 64-bit little-endian word per four pair lookups (at most 48 bits; a
+// load at any bit offset holds at least 57), stores both symbol bytes of
+// every entry into the pre-sized output and advances by the entry's
+// symbol count, so a lone symbol's spare byte is overwritten by the next
+// store. Bits past the end of src read as zeros, and one check at the end
+// rejects a stream that consumed more bits than it has.
 func huffDecompress(dst, src []byte, maxOut int) ([]byte, error) {
 	origLen, n := binary.Uvarint(src)
 	if n <= 0 || origLen > uint64(maxOut) {
@@ -258,10 +271,30 @@ func huffDecompress(dst, src []byte, maxOut int) ([]byte, error) {
 	case kraft != 1<<huffMaxBits:
 		return dst, errHuffCorrupt
 	}
-	assignCodes(&hs.lens, &hs.code)
-	for i := range hs.lut {
-		hs.lut[i] = 0
+	// Every code is at least one bit long.
+	totalBits := 8 * len(src)
+	if origLen > uint64(totalBits) {
+		return dst, errHuffCorrupt
 	}
+	start := len(dst)
+	dst = slices.Grow(dst, int(origLen))
+	out := dst[start : start+int(origLen)]
+	if nSyms == 1 {
+		// The single-symbol tree's one code is the 1-bit code 0: the
+		// stream is valid iff its first origLen bits are all zero.
+		sym := byte(slices.IndexFunc(hs.lens[:], func(l uint8) bool { return l > 0 }))
+		full, rest := len(out)/8, len(out)%8
+		if slices.ContainsFunc(src[:full], func(b byte) bool { return b != 0 }) ||
+			rest > 0 && src[full]&(1<<rest-1) != 0 {
+			return dst[:start], errHuffCorrupt
+		}
+		for i := range out {
+			out[i] = sym
+		}
+		return dst[:start+len(out)], nil
+	}
+	assignCodes(&hs.lens, &hs.code)
+	// A complete code tiles all 4096 windows, so every entry is written.
 	for s := 0; s < 256; s++ {
 		l := hs.lens[s]
 		if l == 0 {
@@ -272,29 +305,75 @@ func huffDecompress(dst, src []byte, maxOut int) ([]byte, error) {
 			hs.lut[idx] = entry
 		}
 	}
-	var acc uint64
-	var nbits uint
-	pos := 0
-	totalBits := 8 * len(src)
-	used := 0
-	for i := uint64(0); i < origLen; i++ {
-		for nbits < huffMaxBits && pos < len(src) {
-			acc |= uint64(src[pos]) << nbits
-			pos++
-			nbits += 8
+	const window = 1<<huffMaxBits - 1
+	bitpos, i := 0, 0
+	if len(out) >= huffPairMinSyms {
+		hs.fillPairs()
+		for i+8 <= len(out) && bitpos>>3+8 <= len(src) {
+			acc := binary.LittleEndian.Uint64(src[bitpos>>3:]) >> (bitpos & 7)
+			for k := 0; k < 4; k++ {
+				p := hs.pair[acc&window]
+				binary.LittleEndian.PutUint16(out[i:], uint16(p))
+				l := p >> 16 & 0xff
+				acc >>= l
+				bitpos += int(l)
+				i += int(p >> 24)
+			}
 		}
-		e := hs.lut[acc&(1<<huffMaxBits-1)]
-		l := uint(e >> 8)
-		if l == 0 {
-			return dst, errHuffCorrupt
-		}
-		used += int(l)
-		if used > totalBits {
-			return dst, errHuffCorrupt
-		}
-		acc >>= l
-		nbits -= l
-		dst = append(dst, byte(e))
 	}
-	return dst, nil
+	// One symbol per lookup: short streams, and the tail of long ones.
+	for i+4 <= len(out) && bitpos>>3+8 <= len(src) {
+		acc := binary.LittleEndian.Uint64(src[bitpos>>3:]) >> (bitpos & 7)
+		for k := 0; k < 4; k++ {
+			e := hs.lut[acc&window]
+			out[i] = byte(e)
+			acc >>= e >> 8
+			bitpos += int(e >> 8)
+			i++
+		}
+	}
+	// The last few symbols, with zero bits past the end of src.
+	var word [8]byte
+	for ; i < len(out); i++ {
+		var acc uint64
+		if b := bitpos >> 3; b+8 <= len(src) {
+			acc = binary.LittleEndian.Uint64(src[b:])
+		} else if b < len(src) {
+			word = [8]byte{}
+			copy(word[:], src[b:])
+			acc = binary.LittleEndian.Uint64(word[:])
+		}
+		e := hs.lut[acc>>(bitpos&7)&window]
+		out[i] = byte(e)
+		bitpos += int(e >> 8)
+	}
+	if bitpos > totalBits {
+		return dst[:start], errHuffCorrupt
+	}
+	return dst[:start+len(out)], nil
+}
+
+// huffPairMinSyms is the stream length from which huffDecompress builds
+// and uses the pair table. Filling its 4096 entries costs more than the
+// pair lookups save on short streams: on a skewed byte stream, decoding
+// from lut alone was faster at 4k symbols and slower at 8k. Shorter
+// streams — such as the entropy stage of sparse-coded THRESHOLD blocks —
+// skip it.
+const huffPairMinSyms = 6 << 10
+
+// fillPairs derives the pair table from lut. Entries hold the symbol
+// bytes in bits 0-15, the bits consumed in 16-23 and the symbol count (1
+// or 2) in 24-31.
+func (hs *huffScratch) fillPairs() {
+	for idx, e := range hs.lut {
+		l := uint32(e >> 8)
+		p := uint32(e&0xff) | l<<16 | 1<<24
+		if l < huffMaxBits {
+			e2 := hs.lut[idx>>l]
+			if l2 := uint32(e2 >> 8); l+l2 <= huffMaxBits {
+				p = uint32(e&0xff) | uint32(e2&0xff)<<8 | (l+l2)<<16 | 2<<24
+			}
+		}
+		hs.pair[idx] = p
+	}
 }

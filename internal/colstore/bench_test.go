@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"mistique/internal/codec"
+	"mistique/internal/data"
 	"mistique/internal/faultfs"
+	"mistique/internal/nn"
 	"mistique/internal/quant"
 )
 
@@ -29,11 +32,58 @@ func benchChunks(b testing.TB) []*chunk {
 	return chunks
 }
 
+// vgg16Pool2 caches the vgg16pool2 stream across sub-benchmarks and b.N
+// rounds: building it runs a VGG16 forward pass.
+var vgg16Pool2 struct {
+	once   sync.Once
+	chunks []*chunk
+}
+
+// vgg16Pool2Chunks builds the first partition a POOL2_QT log of a VGG16
+// writes: one 256-row RowBlock of data.Images through a fixed-seed
+// width-4 nn.VGG16, every layer's activations 2x2 average-pooled and
+// stored as raw float32 columns (POOL2_QT keeps full values), in layer
+// then column order until the encoded payload reaches the default 4 MiB
+// partition target. Its 33 actz blocks are 18 Huffman+shuffle, 5
+// LZ+Huffman and 10 sparse+Huffman (the ReLU outputs) — close to the mix
+// in the partitions the diag_query benchmark workload writes.
+func vgg16Pool2Chunks() []*chunk {
+	vgg16Pool2.once.Do(func() {
+		const rows, width, seed = 256, 4, 1
+		target := Config{}.withDefaults().PartitionTargetBytes
+		imgs, _ := data.Images(rows, 10, seed)
+		net := nn.VGG16("vgg", 10, width, seed)
+		q := quant.NewFull()
+		var chunks []*chunk
+		var size int64
+		cur := imgs
+		for _, l := range net.Layers {
+			cur = l.Forward(cur)
+			act := cur
+			if act.H > 1 || act.W > 1 {
+				act = quant.Pool(act, 2, quant.Avg)
+			}
+			m := act.Flatten()
+			for j := 0; j < m.Cols && size < target; j++ {
+				c := &chunk{enc: q.Encode(nil, m.Col(j)), count: m.Rows, q: q}
+				chunks = append(chunks, c)
+				size += int64(len(c.enc))
+			}
+		}
+		vgg16Pool2.chunks = chunks
+	})
+	return vgg16Pool2.chunks
+}
+
 // benchStreamChunks builds partition snapshots for each quantized stream
 // shape the store writes: "lp" (f16 halves), "kbit" (8-bit quantile bins,
-// near max entropy by construction), and "threshold" (1-bit activation
-// bitmaps at the 99.5th percentile — runs of zeros).
+// near max entropy by construction), "threshold" (1-bit activation
+// bitmaps at the 99.5th percentile — runs of zeros), and "vgg16pool2"
+// (real network activations, see vgg16Pool2Chunks).
 func benchStreamChunks(b testing.TB, stream string) []*chunk {
+	if stream == "vgg16pool2" {
+		return vgg16Pool2Chunks()
+	}
 	rng := rand.New(rand.NewSource(23))
 	vals := make([]float32, 4096)
 	chunks := make([]*chunk, 32)
@@ -127,22 +177,24 @@ func BenchmarkPartitionWriteCodecs(b *testing.B) {
 }
 
 // BenchmarkPartitionReadCodecs measures the cold read (open + decompress
-// + checksum-verify + parse) per codec per stream shape.
+// + checksum-verify + parse) per codec per stream shape; MB/s is over the
+// uncompressed partition image.
 func BenchmarkPartitionReadCodecs(b *testing.B) {
-	for _, stream := range []string{"lp", "kbit", "threshold"} {
-		chunks := benchStreamChunks(b, stream)
+	for _, stream := range []string{"lp", "kbit", "threshold", "vgg16pool2"} {
 		for _, name := range []string{"gzip", "store", "actz"} {
 			c, err := codec.ByName(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("stream=%s/codec=%s", stream, name), func(b *testing.B) {
+				chunks := benchStreamChunks(b, stream)
 				dir := b.TempDir()
 				path := filepath.Join(dir, partFileName(0, 0))
 				_, raw, _, err := writePartitionFileAt(faultfs.OS(), path, chunks, c, defaultCompressionLevel)
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.SetBytes(raw)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					got, _, _, err := readPartitionFile(path, raw)

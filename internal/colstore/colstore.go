@@ -420,6 +420,9 @@ type Store struct {
 	// Always resident — manifest-persisted — so chain depth is known for
 	// cost estimates and lost-base propagation without paging anything in.
 	deltas map[ChunkID]deltaRef
+	// depths is the per-intermediate delta-depth histogram MaxDeltaDepth
+	// answers from; see mapColumnLocked for the invariant.
+	depths map[intermKey][]int
 
 	stats Stats
 	om    storeObs
@@ -467,6 +470,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		columns:    make(map[ColumnKey]ChunkID),
 		zones:      make(map[ChunkID]zone),
 		deltas:     make(map[ChunkID]deltaRef),
+		depths:     make(map[intermKey][]int),
 		lostChunks: make(map[ChunkID]struct{}),
 		om:         newStoreObs(cfg.Obs, cfg.Codec),
 	}
@@ -604,20 +608,20 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 			// The mapped chunk was lost to corruption. Re-logging the model
 			// is the natural repair, so accept the re-put: drop the dead
 			// mapping and fall through to store a fresh chunk.
-			delete(s.columns, key)
+			s.unmapColumnLocked(key)
 		case err != nil:
 			return PutResult{}, err
 		case replace:
 			// Caller asked to supersede the old payload (a grown open
 			// block): drop the mapping and store the new chunk below.
-			delete(s.columns, key)
+			s.unmapColumnLocked(key)
 		default:
 			return PutResult{}, fmt.Errorf("colstore: column %s already stored with different content", key)
 		}
 	}
 	if !s.cfg.DisableExactDedup {
 		if id, ok := s.hashes[h]; ok {
-			s.columns[key] = id
+			s.mapColumnLocked(key, id)
 			s.stats.ChunksDeduped++
 			return PutResult{ID: id, Deduped: true}, nil
 		}
@@ -665,7 +669,10 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 		}
 	}
 	id := ChunkID{Partition: p.id, Index: len(p.chunks) - 1}
-	s.columns[key] = id
+	if spec != nil {
+		s.deltas[id] = deltaRef{Base: spec.base, Depth: spec.depth}
+	}
+	s.mapColumnLocked(key, id)
 	s.zones[id] = zn
 	if !s.cfg.DisableExactDedup {
 		s.hashes[h] = id
@@ -679,7 +686,6 @@ func (s *Store) putColumn(key ColumnKey, vals []float32, q *quant.Quantizer, par
 	s.stats.StoredBytes += int64(len(enc))
 	res := PutResult{ID: id, CoLocated: coLocated, EncodedBytes: int64(len(enc))}
 	if spec != nil {
-		s.deltas[id] = deltaRef{Base: spec.base, Depth: spec.depth}
 		s.stats.DeltaChunks++
 		s.stats.DeltaBytes += int64(len(spec.residual))
 		res.Delta = true
@@ -836,20 +842,69 @@ func (s *Store) DeltaDepth(key ColumnKey) int {
 
 // MaxDeltaDepth returns the deepest delta chain backing any column of one
 // intermediate — the read-amplification factor the cost model charges a
-// cold READ of it. Resident metadata only — no page-in.
+// cold READ of it. The cost model prices every fetch with it, so it is a
+// lookup in the resident depth histogram, never a walk of the store.
 func (s *Store) MaxDeltaDepth(model, interm string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	maxDepth := 0
-	for k, id := range s.columns {
-		if k.Model != model || k.Intermediate != interm {
-			continue
-		}
-		if d, ok := s.deltas[id]; ok && d.Depth > maxDepth {
-			maxDepth = d.Depth
-		}
+	return max(len(s.depths[intermKey{model, interm}])-1, 0)
+}
+
+// intermKey names one intermediate of one model.
+type intermKey struct{ model, interm string }
+
+// mapColumnLocked points key at chunk id, keeping the depth histogram in
+// step. The invariant: s.depths[ik][d] counts the columns of intermediate
+// ik whose chunk is a delta at depth d >= 1 (index 0 stays 0), with
+// trailing zeros trimmed, so the deepest chain is the slice length minus
+// one. Every change of s.columns goes through mapColumnLocked or
+// unmapColumnLocked, except renumbering that keeps each column's depth
+// (Compact's remap); a change of s.deltas under mapped columns (chain
+// collapse, manifest load) ends with rebuildDepthsLocked. Caller holds mu.
+func (s *Store) mapColumnLocked(key ColumnKey, id ChunkID) {
+	s.unmapColumnLocked(key)
+	s.columns[key] = id
+	s.countDepthLocked(key, s.deltas[id].Depth, 1)
+}
+
+// unmapColumnLocked drops key's mapping, if any. Caller holds mu.
+func (s *Store) unmapColumnLocked(key ColumnKey) {
+	if old, ok := s.columns[key]; ok {
+		delete(s.columns, key)
+		s.countDepthLocked(key, s.deltas[old].Depth, -1)
 	}
-	return maxDepth
+}
+
+// countDepthLocked adds n to the count of key's intermediate at depth d.
+func (s *Store) countDepthLocked(key ColumnKey, d, n int) {
+	if d <= 0 {
+		return
+	}
+	ik := intermKey{key.Model, key.Intermediate}
+	h := s.depths[ik]
+	for len(h) <= d {
+		h = append(h, 0)
+	}
+	h[d] += n
+	for len(h) > 1 && h[len(h)-1] == 0 {
+		h = h[:len(h)-1]
+	}
+	if len(h) <= 1 {
+		delete(s.depths, ik)
+		return
+	}
+	s.depths[ik] = h
+}
+
+// rebuildDepthsLocked recounts the depth histogram from s.columns and
+// s.deltas — for the bulk passes (manifest load, Compact's chain
+// collapse) that change many depths at once and already walk the store.
+// Caller holds mu.
+func (s *Store) rebuildDepthsLocked() {
+	clear(s.depths)
+	for k, id := range s.columns {
+		s.countDepthLocked(k, s.deltas[id].Depth, 1)
+	}
 }
 
 // chunkMatchesLocked reports whether the stored chunk's encoded payload

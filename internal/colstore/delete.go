@@ -66,6 +66,7 @@ func (s *Store) collapseChainsLocked() {
 		}
 		return ids[i].Index < ids[j].Index
 	})
+	collapsed := false
 	for _, id := range ids {
 		if _, bad := s.lostChunks[id]; bad {
 			continue // unreconstructable until healed by re-logging
@@ -84,6 +85,7 @@ func (s *Store) collapseChainsLocked() {
 		c := chunks[id.Index]
 		if !c.isDelta() {
 			delete(s.deltas, id)
+			collapsed = true
 			continue
 		}
 		if c.enc == nil {
@@ -96,6 +98,7 @@ func (s *Store) collapseChainsLocked() {
 		// apply against enc, which is byte-identical before and after.
 		c.delta, c.base, c.depth, c.fullCRC = nil, ChunkID{}, 0, 0
 		delete(s.deltas, id)
+		collapsed = true
 		p.dirty = true
 		p.bytes -= freed
 		if p.chunks != nil {
@@ -104,6 +107,10 @@ func (s *Store) collapseChainsLocked() {
 		s.stats.DeltaChunks--
 		s.stats.DeltaBytes -= freed
 		s.stats.DeltaCollapsed++
+	}
+	if collapsed {
+		// Every column on a collapsed chunk dropped to depth 0.
+		s.rebuildDepthsLocked()
 	}
 }
 
@@ -130,7 +137,7 @@ func (s *Store) deleteWhere(match func(ColumnKey) bool) int {
 	removed := 0
 	for k := range s.columns {
 		if match(k) {
-			delete(s.columns, k)
+			s.unmapColumnLocked(k)
 			removed++
 		}
 	}
@@ -333,7 +340,9 @@ func (s *Store) Compact() (droppedChunks int, reclaimed int64, err error) {
 			liveBytes += int64(len(c.enc) + len(c.delta))
 		}
 
-		// Remap every referencing structure.
+		// Remap every referencing structure. A column and its chunk's
+		// delta entry move through the same table, so no column's depth
+		// changes and the depth histogram stays as it is.
 		for _, k := range byPart[pid] {
 			old := s.columns[k]
 			s.columns[k] = ChunkID{Partition: pid, Index: remap[old.Index]}

@@ -209,6 +209,7 @@ func (s *Store) loadManifest() error {
 	for _, md := range m.Deltas {
 		s.deltas[md.Chunk] = deltaRef{Base: md.Base, Depth: md.Depth}
 	}
+	s.rebuildDepthsLocked()
 	for _, mp := range m.Partitions {
 		s.parts[mp.ID] = &partition{
 			id:         mp.ID,
